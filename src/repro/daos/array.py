@@ -18,6 +18,7 @@ reconstruct from any k surviving cells.  Holes read back as zeros.
 
 from __future__ import annotations
 
+from operator import attrgetter, itemgetter
 from typing import Dict, Optional, Tuple
 
 from repro.daos import erasure
@@ -30,6 +31,9 @@ from repro.errors import DataLossError, InvalidArgumentError, UnavailableError
 from repro.units import Bytes, MiB
 
 __all__ = ["DaosArray"]
+
+_first = itemgetter(0)
+_alive = attrgetter("alive")
 
 
 class DaosArray(DaosObject):
@@ -306,42 +310,64 @@ class DaosArray(DaosObject):
         Equivalent to summing :meth:`write`/:meth:`read` charges over a
         long run of chunk-aligned ops (chunks rotate round-robin over the
         groups), without touching the functional store — the aggregated
-        fast path used by the benchmark harness.
+        fast path used by the benchmark harness.  Like :meth:`read`, a
+        read raises :class:`DataLossError` when a group has no live plain
+        target, no live replica, or fewer than k live EC cells.
         """
         if kind not in ("write", "read"):
             raise InvalidArgumentError(f"kind must be 'write' or 'read': {kind}")
-        charges: Dict[Target, float] = {}
-        share = nbytes / self.n_groups
-
-        def add(target: Target, amount: float) -> None:
-            charges[target] = charges.get(target, 0.0) + amount
-
-        for group in self.groups:
-            if self.oc.is_ec:
-                k, p = self.oc.ec_k, self.oc.ec_p
-                if kind == "write":
+        groups = self.groups
+        share = nbytes / len(groups)
+        oc = self.oc
+        if not (oc.is_ec or oc.is_replicated):
+            targets = list(map(_first, groups))
+            if kind == "read" and not all(map(_alive, targets)):
+                gi = next(i for i, t in enumerate(targets) if not t.alive)
+                raise DataLossError(f"group {gi} of {self.oid}: target down")
+            # placement gives each plain group its own target, so every
+            # charge is a single ``0.0 + share`` == ``share``; the loop
+            # covers a layout that puts two groups on one target
+            charges: Dict[Target, float] = dict.fromkeys(targets, share)
+            if len(charges) < len(targets):
+                charges = {}
+                for target in targets:
+                    charges[target] = charges.get(target, 0.0) + share
+            return charges
+        charges = {}
+        get = charges.get
+        if oc.is_ec:
+            k = oc.ec_k
+            cell = share / k
+            if kind == "write":
+                for group in groups:
                     for member in group:
-                        add(member, share / k)
+                        charges[member] = get(member, 0.0) + cell
+                return charges
+            for gi, group in enumerate(groups):
+                served = 0
+                for member in group:
+                    if served >= k:
+                        break
+                    if member.alive:
+                        charges[member] = get(member, 0.0) + cell
+                        served += 1
+                if served < k:
+                    raise DataLossError(
+                        f"group {gi} of {self.oid}: only {served} of {k} cells live"
+                    )
+        elif kind == "write":
+            for group in groups:
+                for member in group:
+                    if member.alive:
+                        charges[member] = get(member, 0.0) + share
+        else:
+            for gi, group in enumerate(groups):
+                for member in group:
+                    if member.alive:
+                        charges[member] = get(member, 0.0) + share
+                        break
                 else:
-                    served = 0
-                    for member in group:
-                        if served >= k:
-                            break
-                        if member.alive:
-                            add(member, share / k)
-                            served += 1
-            elif self.oc.is_replicated:
-                if kind == "write":
-                    for member in group:
-                        if member.alive:
-                            add(member, share)
-                else:
-                    for member in group:
-                        if member.alive:
-                            add(member, share)
-                            break
-            else:
-                add(group[0], share)
+                    raise DataLossError(f"group {gi} of {self.oid}: no live replica")
         return charges
 
     def truncate(self, new_size: Bytes) -> None:

@@ -21,6 +21,7 @@ see ``repro.workloads``).
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Generator, Optional
 
 import numpy as np
@@ -49,6 +50,7 @@ __all__ = ["DaosClient", "cohort_weight"]
 _EXACT_COHORT_SUM = 4096
 
 
+@lru_cache(maxsize=4096, typed=True)
 def cohort_weight(w: float, n: int) -> float:
     """Aggregate link weight of ``n`` cohort members each weighing ``w``.
 
@@ -57,6 +59,8 @@ def cohort_weight(w: float, n: int) -> float:
     per-client mode, bit for bit) requires reproducing that fold —
     ``((w + w) + w) ...`` — rather than computing ``n * w``, which
     rounds differently for most ``n``.  See docs/PERFORMANCE.md.
+    Memoised: a pure function of ``(w, n)``, and a cohort sweep asks for
+    the same few link weights batch after batch.
     """
     if n <= _EXACT_COHORT_SUM:
         total = 0.0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import List
 
 from repro.daos.container import Container
@@ -32,10 +33,14 @@ class DaosObject:
             ring_size=pool.n_targets,
             salt=(pool.label, container.id),
         )
+        # map every slot to its target in one pass and regroup them by
+        # ``group_width``; each group is a list of its own, because a
+        # rebuild rewrites members in place
+        members = map(pool.ring.__getitem__, chain.from_iterable(layout))
         #: per group, the targets holding its shards (data first, then parity)
-        self.groups: List[List[Target]] = [
-            [pool.ring[slot] for slot in group] for group in layout
-        ]
+        self.groups: List[List[Target]] = list(
+            map(list, zip(*[members] * oc.group_width))
+        )
 
     @property
     def n_groups(self) -> int:

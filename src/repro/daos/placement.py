@@ -73,5 +73,8 @@ def place_groups(
             f"object needs {total} targets but the pool ring has {ring_size}"
         )
     start = jump_consistent_hash(stable_hash64(oid_key, salt), ring_size)
-    slots = [(start + i) % ring_size for i in range(total)]
-    return [slots[g * group_width : (g + 1) * group_width] for g in range(n_groups)]
+    # the ``total`` consecutive slots from ``start``, wrapping at the ring
+    # end, cut into groups of ``group_width``
+    end = start + total
+    slots = iter([*range(start, min(end, ring_size)), *range(end - ring_size)])
+    return list(map(list, zip(*[slots] * group_width)))

@@ -21,7 +21,10 @@ Supported APIs (the series of Figs. 1-6):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from itertools import chain
+from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.ceph.rados import CephPool
 from repro.daos.pool import Pool, Target
@@ -50,6 +53,32 @@ def uniform_target_charges(pool: Pool, nbytes: float) -> Dict[Target, float]:
     targets = pool.alive_targets()
     share = nbytes / len(targets)
     return {t: share for t in targets}
+
+
+def charge_profile(arrays: Sequence[Any], kind: str) -> Tuple[List[Target], np.ndarray]:
+    """Unit (1-byte) charges of a rank group's arrays as a matrix.
+
+    Row ``i`` holds ``arrays[i].bulk_charges(kind, 1)``; columns are the
+    targets in order of first appearance over the rows, which is the key
+    order a rank-by-rank dict accumulation produces.  Targets an array
+    does not touch hold 0.0, which leaves a running float sum unchanged.
+    """
+    units: Dict[int, Dict[Target, float]] = {}
+    rows: List[Dict[Target, float]] = []
+    for arr in arrays:
+        unit = units.get(id(arr))  # a shared file repeats one array
+        if unit is None:
+            unit = units[id(arr)] = arr.bulk_charges(kind, 1)
+        rows.append(unit)
+    column = dict.fromkeys(chain.from_iterable(rows), 0)
+    for j, target in enumerate(column):
+        column[target] = j
+    matrix = np.zeros((len(rows), len(column)))
+    for i, unit in enumerate(rows):
+        n = len(unit)
+        cols = np.fromiter(map(column.__getitem__, unit), np.intp, n)
+        matrix[i, cols] = np.fromiter(unit.values(), float, n)
+    return list(column), matrix
 
 
 def engine_request_ops(charges: Dict[Target, float], total_ops: float) -> Dict[Any, float]:
@@ -87,9 +116,9 @@ class _DaosIor(_IorRunner):
 
     def __init__(self, env: Any, cfg: WorkloadConfig, recorder: Any = None) -> None:
         super().__init__(env, cfg, recorder)
-        # per-(array, kind) unit charge profiles; bulk_charges is linear
-        # in nbytes, so each profile is computed once and scaled per batch
-        self._unit_charges: Dict[Any, Dict[Target, float]] = {}
+        #: (arrays of a rank group, kind) -> (pool map version, targets,
+        #: unit charge matrix); see :func:`charge_profile`
+        self._profiles: Dict[Any, Tuple[int, List[Target], np.ndarray]] = {}
         #: per-state segment base offset (shared-file mode)
         self._base: Dict[int, int] = {}
         self._shared_array: Any = None
@@ -152,21 +181,26 @@ class _DaosIor(_IorRunner):
         return state[1]
 
     def _charges(self, states: Any, phase: str, ops: int) -> Dict[Target, float]:
+        """Per-target bytes of one batch: every rank's ``bulk_charges``
+        scaled to ``ops`` ops and summed rank by rank, as one vector fold
+        over the group's cached :func:`charge_profile`."""
         kind = "write" if phase == "write" else "read"
-        nbytes = ops * self.cfg.op_size
-        charges: Dict[Target, float] = {}
-        for state in states:
-            arr = self._array_of(state)
-            # keyed on the pool-map version so fault injection / rebuild
-            # relayouts invalidate the cached profile
-            key = (id(arr), kind, arr.container.pool.map_version)
-            unit = self._unit_charges.get(key)
-            if unit is None:
-                unit = arr.bulk_charges(kind, 1)
-                self._unit_charges[key] = unit
-            for target, nb in unit.items():
-                charges[target] = charges.get(target, 0.0) + nb * nbytes
-        return charges
+        arrays = tuple(self._array_of(state) for state in states)
+        # the pool-map version drops the profile after a target failure
+        # or a rebuild relayout
+        version = arrays[0].container.pool.map_version
+        key = (arrays, kind)
+        profile = self._profiles.get(key)
+        if profile is None or profile[0] != version:
+            profile = (version, *charge_profile(arrays, kind))
+            self._profiles[key] = profile
+        _, targets, unit = profile
+        # rows are added in rank order, one at a time: the same float sums
+        # as accumulating each rank's charges into a dict
+        acc = np.zeros(len(targets))
+        for row in unit * (ops * self.cfg.op_size):
+            acc += row
+        return dict(zip(targets, acc.tolist()))
 
     def batch_flow(self, node: Any, states: Any, phase: str, ops: int) -> Generator[Any, Any, None]:
         kind = "write" if phase == "write" else "read"
