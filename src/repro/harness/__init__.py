@@ -6,10 +6,14 @@
 - :mod:`repro.harness.plan` — declarative :class:`RunPlan`\\ s: the
   specs a figure needs plus a pure assembly function, with intra- and
   cross-figure deduplication;
-- :mod:`repro.harness.executor` — :class:`SerialExecutor` /
-  :class:`ParallelExecutor` satisfy plans (bit-identical results either
-  way) and :func:`execute_plans` pipelines dedup → cache → execute →
-  assemble;
+- :mod:`repro.harness.executor` — the one :class:`Executor` satisfies
+  plans in-process (the default) or over a resilient worker pool
+  (``jobs > 1``, a point timeout or a retry budget), with bit-identical
+  results either way, and :func:`execute_plans` pipelines dedup → cache
+  → execute → assemble;
+- :mod:`repro.harness.resilience` — checkpoint journal, quarantine and
+  the other records behind the worker pool's crash/timeout/interrupt
+  handling;
 - :mod:`repro.harness.cache` — content-addressed on-disk
   :class:`ResultCache` with model/schema-version invalidation;
 - :mod:`repro.harness.figures` — one planner per paper figure/table
@@ -32,7 +36,6 @@ from repro.harness.cache import CacheStats, ResultCache
 from repro.harness.executor import (
     ExecutionReport,
     Executor,
-    ParallelExecutor,
     PointTask,
     SerialExecutor,
     execute_plan,
@@ -68,7 +71,6 @@ __all__ = [
     "dedupe_plans",
     "Executor",
     "SerialExecutor",
-    "ParallelExecutor",
     "PointTask",
     "ExecutionReport",
     "execute_plan",

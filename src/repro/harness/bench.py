@@ -33,12 +33,7 @@ from typing import Dict, Optional, Sequence
 
 import repro.obs as obs_mod
 from repro.harness.cache import ResultCache
-from repro.harness.executor import (
-    ExecutionReport,
-    ParallelExecutor,
-    SerialExecutor,
-    execute_plan,
-)
+from repro.harness.executor import ExecutionReport, Executor, execute_plan
 from repro.harness.figures import FIGURES, plan_figure
 
 __all__ = [
@@ -146,7 +141,9 @@ def collect_bench(
 ) -> Dict:
     """Run the figures and assemble the full BENCH document."""
     fig_ids = list(figures) if figures else sorted(FIGURES)
-    executor = ParallelExecutor(jobs=jobs) if jobs > 1 else SerialExecutor()
+    # the CLI's executor: in-process at jobs=1, the resilient worker
+    # pool beyond, so the bench measures what the CLI runs
+    executor = Executor(jobs=jobs)
     cache = ResultCache(cache_dir) if cache_dir else None
     doc: Dict = {
         "schema": BENCH_SCHEMA,

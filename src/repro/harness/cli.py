@@ -51,15 +51,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
+from pathlib import Path
 
 import repro.obs as obs_mod
 from repro.errors import ConfigError
 from repro.harness.cache import ResultCache
-from repro.harness.executor import SerialExecutor, execute_plan
+from repro.harness.executor import Executor, execute_plan
 from repro.harness.figures import FIGURES, plan_figure
 from repro.harness.report import render_figure, render_markdown
+from repro.harness.resilience import ExecutionInterrupted, ResilienceConfig
 
 
 def _series_doc(result) -> dict:
@@ -212,10 +215,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-    if args.point_timeout is not None and args.point_timeout <= 0:
-        parser.error(f"--point-timeout must be > 0, got {args.point_timeout}")
+    if args.point_timeout is not None and not (
+        math.isfinite(args.point_timeout) and args.point_timeout > 0
+    ):
+        parser.error(
+            f"--point-timeout must be finite and > 0, got {args.point_timeout}"
+        )
     if args.max_retries is not None and args.max_retries < 0:
         parser.error(f"--max-retries must be >= 0, got {args.max_retries}")
+    if not (math.isfinite(args.retry_backoff) and args.retry_backoff >= 0):
+        parser.error(
+            f"--retry-backoff must be finite and >= 0, got {args.retry_backoff}"
+        )
     if args.resume and not args.cache_dir:
         parser.error("--resume needs --cache-dir (finished points are "
                      "served from the cache)")
@@ -256,40 +267,18 @@ def main(argv=None) -> int:
         obs_mod.TimelineConfig(interval=args.timeline_interval)
         if args.timeline else None
     )
-    from pathlib import Path
-
-    from repro.harness.resilience import (
-        ExecutionInterrupted,
-        ResilienceConfig,
-        ResilientParallelExecutor,
-    )
-
     resilience = ResilienceConfig(
-        point_timeout=args.point_timeout,
-        max_retries=args.max_retries if args.max_retries is not None else 2,
-        retry_backoff=args.retry_backoff,
         allow_partial=args.allow_partial,
         resume=args.resume,
         quarantine_path=Path(args.quarantine) if args.quarantine else None,
     )
-    # parallel runs are resilient by default (crash containment,
-    # checkpointing); timeout/retry flags opt a serial invocation into
-    # the process-pool executor too, since an in-process point cannot
-    # be deadlined
-    resilient = (
-        args.jobs > 1
-        or args.point_timeout is not None
-        or args.max_retries is not None
-    )
-    executor = (
-        ResilientParallelExecutor(
-            jobs=args.jobs,
-            point_timeout=resilience.point_timeout,
-            max_retries=resilience.max_retries,
-            retry_backoff=resilience.retry_backoff,
-        )
-        if resilient
-        else SerialExecutor()
+    # in-process unless --jobs > 1, --point-timeout or --max-retries
+    # selects the resilient worker pool (see Executor)
+    executor = Executor(
+        jobs=args.jobs,
+        point_timeout=args.point_timeout,
+        max_retries=args.max_retries,
+        retry_backoff=args.retry_backoff,
     )
     cache = (
         ResultCache(args.cache_dir)

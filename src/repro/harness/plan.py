@@ -33,7 +33,7 @@ from repro.harness.experiment import PointResult, PointSpec, spec_token
 if TYPE_CHECKING:  # pragma: no cover - typing only (figures imports us)
     from repro.harness.figures import FigureResult
 
-__all__ = ["RunPlan", "PlanBatch", "make_plan", "dedupe_plans", "with_faults"]
+__all__ = ["RunPlan", "PlanBatch", "PointTask", "make_plan", "dedupe_plans", "with_faults"]
 
 #: assembly signature: results for every spec of the plan -> the figure
 Assembler = Callable[[Mapping[PointSpec, PointResult]], "FigureResult"]
@@ -128,6 +128,15 @@ def with_faults(plan: RunPlan, faults: str) -> RunPlan:
         assembler=assembler,
         requested=plan.requested,
     )
+
+
+@dataclass(frozen=True)
+class PointTask:
+    """One unit of executor work: a spec plus its aggregation params."""
+
+    spec: PointSpec
+    reps: int
+    base_seed: int = 0
 
 
 @dataclass(frozen=True)

@@ -1,77 +1,44 @@
-"""Resilient campaign execution: ride through worker crashes, hangs
-and interrupts without losing finished work.
+"""Records and persistence behind the resilient worker-pool path of
+:class:`~repro.harness.executor.Executor`.
 
-The modelled systems already survive component failure (PR 5 gave the
-simulated clients retry/failover); this module gives the *harness* the
-same property.  Four mechanisms, all host-side, all wrapped *around*
-the simulations so modelled numbers stay a pure function of
-``(spec, reps, base_seed)``:
-
-- **Incremental checkpointing** — :class:`ResilientParallelExecutor`
-  reports every completed point through ``on_result`` the moment its
-  future resolves, so :func:`~repro.harness.executor.execute_plans`
-  can ``cache.put`` it immediately.  A :class:`BatchJournal` records
-  the batch manifest and per-point completions; an interrupted run
-  re-invoked with ``--resume`` serves every finished point from the
-  cache with zero recomputation.
-- **Per-point timeout + bounded retry** — each task gets a host
-  wall-clock deadline (``--point-timeout``).  An overdue task's worker
-  is terminated, innocent in-flight tasks are resubmitted without
-  penalty, and the overdue task retries on a fresh worker with
-  exponential backoff, at most ``--max-retries`` extra attempts.
-- **Crash containment** — a ``BrokenProcessPool`` (worker SIGKILLed,
-  OOM-killed, or segfaulted) respawns the pool and resubmits the
-  in-flight tasks instead of aborting the batch.
-- **Quarantine & graceful interrupt** — a task that exhausts its
-  attempts lands in a structured :class:`Quarantine` file (spec token,
-  attempts, exception, traceback) and the batch carries on.  The first
-  SIGINT stops submitting and drains in-flight work (everything drained
-  is checkpointed); the second hard-stops.
-
-Observability payloads are still absorbed in submission order
-(completion order never leaks into merged telemetry), and a retried
-point contributes exactly one payload — the successful attempt's — so
-``--jobs N`` telemetry equals the serial run's even across retries.
-
-Deterministic chaos (for CI and tests) is injected via the
-``REPRO_HARNESS_CHAOS`` environment variable; see :func:`chaos_plan`.
-
-Wall-clock note: this module intentionally reads the host clock
-(deadlines, backoff sleeps) — it is on the simlint SL001 allowlist
-because none of it can reach modelled results.
+That path rides through worker crashes (``BrokenProcessPool``: respawn
+and resubmit), hung points (``--point-timeout``: kill, retry with
+backoff up to ``--max-retries``) and SIGINT (drain, checkpoint, raise
+:class:`ExecutionInterrupted`), all host-side and wrapped *around* the
+simulations, so modelled numbers stay a pure function of
+``(spec, reps, base_seed)``.  This module holds what that produces and
+persists: :class:`RunStats` accounting, :class:`TaskFailure` records of
+tasks that exhausted their attempts, the :class:`Quarantine` file they
+land in, the :class:`BatchJournal` behind ``--resume``, the NaN
+:func:`hole_result` of ``--allow-partial``, the batch-level
+:class:`ResilienceConfig`, and the ``REPRO_HARNESS_CHAOS`` grammar
+(:func:`chaos_plan`) that injects deterministic harness faults in CI
+and tests.  :mod:`repro.harness.executor` imports this module, never
+the reverse.  See docs/EXECUTION.md ("Resilient execution").
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
 import json
+import math
 import os
-import signal
-import threading
-import time
-import traceback as traceback_mod
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
-from types import FrameType
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set
 
-import repro.obs as obs_mod
 from repro.errors import ConfigError, ReproError
-from repro.harness.executor import PointTask, _run_task_observed
-from repro.harness.experiment import PointResult, PointSpec, spec_token
+from repro.harness.experiment import PointResult, PointSpec
+from repro.harness.plan import PointTask
 
 __all__ = [
     "ResilienceConfig",
-    "ResilientParallelExecutor",
     "ExecutionInterrupted",
     "RunStats",
     "TaskFailure",
     "Quarantine",
     "BatchJournal",
+    "ChaosPlan",
     "hole_result",
     "chaos_plan",
     "CHAOS_ENV",
@@ -127,10 +94,13 @@ def chaos_plan(env: Optional[str] = None) -> ChaosPlan:
       ``N`` attempts (default 1: the retry succeeds).
     - ``sleep:SUBSTR:SECONDS`` — the worker sleeps (host time) before
       running a matching task, on every attempt — the deterministic
-      stand-in for a hung simulation.
+      stand-in for a hung simulation.  ``SECONDS`` is finite and >= 0.
     - ``interrupt-after:N`` — the parent behaves as if it received a
       SIGINT after N fresh completions (stop submitting, drain,
       checkpoint, raise :class:`ExecutionInterrupted`).
+
+    A malformed directive raises :class:`~repro.errors.ConfigError`
+    naming it.
     """
     raw = os.environ.get(CHAOS_ENV, "") if env is None else env
     plan = ChaosPlan()
@@ -139,39 +109,23 @@ def chaos_plan(env: Optional[str] = None) -> ChaosPlan:
         if name == "kill-worker" and rest:
             substr, _, n = rest.rpartition(":")
             if substr and n.isdigit():
-                plan = ChaosPlan(
-                    kill_substr=substr,
-                    kill_attempts=int(n),
-                    sleep_substr=plan.sleep_substr,
-                    sleep_seconds=plan.sleep_seconds,
-                    interrupt_after=plan.interrupt_after,
-                )
+                plan = replace(plan, kill_substr=substr, kill_attempts=int(n))
             else:
-                plan = ChaosPlan(
-                    kill_substr=rest,
-                    kill_attempts=1,
-                    sleep_substr=plan.sleep_substr,
-                    sleep_seconds=plan.sleep_seconds,
-                    interrupt_after=plan.interrupt_after,
-                )
+                plan = replace(plan, kill_substr=rest, kill_attempts=1)
         elif name == "sleep" and rest:
             substr, _, seconds = rest.rpartition(":")
-            if substr:
-                plan = ChaosPlan(
-                    kill_substr=plan.kill_substr,
-                    kill_attempts=plan.kill_attempts,
-                    sleep_substr=substr,
-                    sleep_seconds=float(seconds),
-                    interrupt_after=plan.interrupt_after,
+            try:
+                value = float(seconds)
+            except ValueError:
+                value = math.nan
+            if not substr or not (math.isfinite(value) and value >= 0):
+                raise ConfigError(
+                    f"{CHAOS_ENV}: bad directive {directive!r} "
+                    f"(expected sleep:SUBSTR:SECONDS, SECONDS finite and >= 0)"
                 )
+            plan = replace(plan, sleep_substr=substr, sleep_seconds=value)
         elif name == "interrupt-after" and rest.isdigit():
-            plan = ChaosPlan(
-                kill_substr=plan.kill_substr,
-                kill_attempts=plan.kill_attempts,
-                sleep_substr=plan.sleep_substr,
-                sleep_seconds=plan.sleep_seconds,
-                interrupt_after=int(rest),
-            )
+            plan = replace(plan, interrupt_after=int(rest))
         else:
             raise ConfigError(
                 f"{CHAOS_ENV}: unknown directive {directive!r} "
@@ -179,34 +133,6 @@ def chaos_plan(env: Optional[str] = None) -> ChaosPlan:
                 f"interrupt-after:N)"
             )
     return plan
-
-
-def _resilient_task(
-    task: PointTask,
-    attempt: int,
-    observe: bool,
-    timeline: Optional[obs_mod.TimelineConfig],
-    profile: bool,
-    ledger: bool,
-) -> Tuple[PointResult, Optional[Dict[str, Any]]]:
-    """Worker-side entry point (module-level, hence picklable).
-
-    ``attempt`` is the zero-based try number — chaos directives key off
-    it so a "crash once" scenario crashes exactly once.  Delegates to
-    the plain executor's worker entry, so the modelled run is identical.
-    """
-    chaos = chaos_plan()
-    if chaos.active:
-        token = spec_token(task.spec)
-        if (
-            chaos.kill_substr is not None
-            and chaos.kill_substr in token
-            and attempt < chaos.kill_attempts
-        ):
-            os.kill(os.getpid(), signal.SIGKILL)
-        if chaos.sleep_substr is not None and chaos.sleep_substr in token:
-            time.sleep(chaos.sleep_seconds)
-    return _run_task_observed(task, observe, timeline, profile, ledger)
 
 
 @dataclass
@@ -236,11 +162,11 @@ class TaskFailure:
 
 @dataclass
 class ResilienceConfig:
-    """Knobs for resilient plan execution (CLI flags map 1:1)."""
+    """Batch-level resilience knobs (``--allow-partial``, ``--resume``,
+    ``--quarantine``) for :func:`~repro.harness.executor.execute_plans`.
 
-    point_timeout: Optional[float] = None
-    max_retries: int = 2
-    retry_backoff: float = 0.25
+    The per-point knobs (timeout, retries, backoff) are the executor's."""
+
     allow_partial: bool = False
     resume: bool = False
     quarantine_path: Optional[Path] = None
@@ -393,296 +319,3 @@ def hole_result(spec: PointSpec, reps: int) -> PointResult:
         read_iops=(nan, nan),
         reps=reps,
     )
-
-
-@dataclass
-class _Pending:
-    """Book-keeping for one submitted attempt."""
-
-    index: int
-    deadline: Optional[float]
-
-
-class ResilientParallelExecutor:
-    """A :class:`~repro.harness.executor.ParallelExecutor` that survives
-    worker crashes, hung points and interrupts.
-
-    Satisfies the executor protocol (``results[i]`` corresponds to
-    ``tasks[i]``); a slot is ``None`` only when that task exhausted its
-    retry budget (details in :attr:`last_failures`) or the run was
-    interrupted before it could execute.  Modelled results are
-    bit-identical to :class:`SerialExecutor`'s — retries re-run the same
-    pure function with the same content-hash seed.
-    """
-
-    def __init__(
-        self,
-        jobs: int = 2,
-        point_timeout: Optional[float] = None,
-        max_retries: int = 2,
-        retry_backoff: float = 0.25,
-    ) -> None:
-        if jobs < 1:
-            raise ConfigError(f"ResilientParallelExecutor needs jobs >= 1, got {jobs}")
-        if max_retries < 0:
-            raise ConfigError(f"max_retries must be >= 0, got {max_retries}")
-        if point_timeout is not None and point_timeout <= 0:
-            raise ConfigError(f"point_timeout must be > 0, got {point_timeout}")
-        self.jobs = jobs
-        self.point_timeout = point_timeout
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
-        self.last_stats = RunStats()
-        self.last_failures: List[TaskFailure] = []
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ResilientParallelExecutor(jobs={self.jobs}, "
-            f"point_timeout={self.point_timeout}, max_retries={self.max_retries})"
-        )
-
-    # -- main loop -----------------------------------------------------------
-    def run_tasks(
-        self,
-        tasks: Sequence[PointTask],
-        on_result: Optional[Callable[[PointTask, PointResult], None]] = None,
-    ) -> List[Optional[PointResult]]:
-        self.last_stats = stats = RunStats()
-        self.last_failures = failures = []
-        if not tasks:
-            return []
-        parent_obs = obs_mod.current()
-        observe = parent_obs is not None
-        timeline = parent_obs.timeline_config if parent_obs is not None else None
-        profile = parent_obs is not None and parent_obs.profile is not None
-        ledger = parent_obs is not None and parent_obs.ledger is not None
-
-        n = len(tasks)
-        results: List[Optional[PointResult]] = [None] * n
-        payloads: List[Optional[Dict[str, Any]]] = [None] * n
-        settled = [False] * n  # success or quarantine: will never produce more work
-        attempts = [0] * n  # tries started
-        queue: Deque[int] = deque(range(n))
-        retry_heap: List[Tuple[float, int]] = []  # (host time ready, index)
-        running: Dict["Future[Tuple[PointResult, Optional[Dict[str, Any]]]]", _Pending] = {}
-        pool: Optional[ProcessPoolExecutor] = None
-        absorb_upto = 0
-        completed = 0
-        chaos = chaos_plan()
-        sigints = 0
-        # culprit isolation: a pool crash kills every in-flight attempt,
-        # so a task that crashes its worker on every try would keep
-        # taking innocent co-scheduled tasks down with it (and eat their
-        # retry budgets).  After a multi-victim crash the next
-        # `solo_pending` attempts run one at a time, so the culprit
-        # crashes alone (and is charged alone) while innocents complete.
-        solo_pending = 0
-
-        def on_sigint(signum: int, frame: Optional[FrameType]) -> None:
-            nonlocal sigints
-            sigints += 1
-
-        def max_attempts() -> int:
-            return 1 + self.max_retries
-
-        def ensure_pool() -> ProcessPoolExecutor:
-            nonlocal pool
-            if pool is None:
-                pool = ProcessPoolExecutor(max_workers=min(self.jobs, n))
-            return pool
-
-        def teardown_pool(kill: bool) -> None:
-            nonlocal pool
-            if pool is None:
-                return
-            if kill:
-                procs = getattr(pool, "_processes", None) or {}
-                for proc in list(procs.values()):
-                    proc.terminate()
-            pool.shutdown(wait=False, cancel_futures=True)
-            pool = None
-            running.clear()
-
-        def submit(index: int) -> None:
-            fut = ensure_pool().submit(
-                _resilient_task,
-                tasks[index],
-                attempts[index],
-                observe,
-                timeline,
-                profile,
-                ledger,
-            )
-            attempts[index] += 1
-            deadline = (
-                time.monotonic() + self.point_timeout
-                if self.point_timeout is not None
-                else None
-            )
-            running[fut] = _Pending(index=index, deadline=deadline)
-
-        def drain_absorb() -> None:
-            # absorb payloads strictly in submission order so merged
-            # telemetry never depends on completion order
-            nonlocal absorb_upto
-            while absorb_upto < n and settled[absorb_upto]:
-                payload = payloads[absorb_upto]
-                if payload is not None and parent_obs is not None:
-                    parent_obs.absorb(payload)
-                payloads[absorb_upto] = None
-                absorb_upto += 1
-
-        def budget_fail(index: int, reason: str, error: str, tb: str) -> None:
-            nonlocal solo_pending
-            if attempts[index] >= max_attempts():
-                solo_pending = max(0, solo_pending - 1)
-                stats.quarantined += 1
-                settled[index] = True
-                failures.append(
-                    TaskFailure(
-                        index=index,
-                        task=tasks[index],
-                        attempts=attempts[index],
-                        reason=reason,
-                        error=error,
-                        traceback=tb,
-                    )
-                )
-                drain_absorb()
-            else:
-                stats.retried += 1
-                ready = time.monotonic() + self.retry_backoff * (
-                    2 ** (attempts[index] - 1)
-                )
-                heapq.heappush(retry_heap, (ready, index))
-
-        in_main_thread = threading.current_thread() is threading.main_thread()
-        prev_handler: Any = None
-        if in_main_thread:
-            prev_handler = signal.signal(signal.SIGINT, on_sigint)
-        soft_stop = False
-        hard_stop = False
-        try:
-            while queue or running or retry_heap:
-                if sigints >= 2:
-                    hard_stop = True
-                    break
-                if sigints >= 1:
-                    soft_stop = True
-                if soft_stop:
-                    stats.interrupted = True
-                    queue.clear()
-                    retry_heap.clear()
-                    if not running:
-                        break
-                now = time.monotonic()
-                while retry_heap and retry_heap[0][0] <= now:
-                    _, index = heapq.heappop(retry_heap)
-                    queue.append(index)
-                # submission window = jobs: a submitted task starts (nearly)
-                # immediately, so per-point deadlines measure actual runtime,
-                # a SIGINT leaves queued work unsubmitted, and a pool crash
-                # dooms at most `jobs` attempts
-                window = 1 if solo_pending > 0 else self.jobs
-                while queue and not soft_stop and len(running) < window:
-                    submit(queue.popleft())
-                if not running:
-                    if retry_heap:
-                        time.sleep(min(0.05, max(0.0, retry_heap[0][0] - now)) or 0.005)
-                    continue
-                wait_timeout = 0.1
-                deadlines = [p.deadline for p in running.values() if p.deadline is not None]
-                if deadlines:
-                    wait_timeout = min(wait_timeout, max(0.0, min(deadlines) - now))
-                done, _ = wait(
-                    set(running), timeout=wait_timeout, return_when=FIRST_COMPLETED
-                )
-                crash_victims: List[int] = []
-                for fut in sorted(done, key=lambda f: running[f].index):
-                    index = running.pop(fut).index
-                    try:
-                        result, payload = fut.result()
-                    except BrokenProcessPool:
-                        stats.crashes += 1
-                        crash_victims.append(index)
-                        continue
-                    except (KeyboardInterrupt, SystemExit):
-                        raise
-                    except Exception as exc:  # simlint: disable=SL006 -- any worker exception becomes a retry/quarantine entry instead of aborting the batch
-                        error = f"{type(exc).__name__}: {exc}"
-                        tb = "".join(
-                            traceback_mod.format_exception(
-                                type(exc), exc, exc.__traceback__
-                            )
-                        )
-                        budget_fail(index, "error", error, tb)
-                        continue
-                    results[index] = result
-                    payloads[index] = payload
-                    settled[index] = True
-                    solo_pending = max(0, solo_pending - 1)
-                    completed += 1
-                    if on_result is not None:
-                        on_result(tasks[index], result)
-                    drain_absorb()
-                    if (
-                        chaos.interrupt_after is not None
-                        and completed >= chaos.interrupt_after
-                    ):
-                        soft_stop = True
-                if crash_victims:
-                    # the pool is broken: every in-flight attempt died with it
-                    crash_victims.extend(p.index for p in running.values())
-                    teardown_pool(kill=False)
-                    victims = sorted(set(crash_victims))
-                    for index in victims:
-                        budget_fail(
-                            index,
-                            "worker-crash",
-                            "worker process died (BrokenProcessPool); "
-                            "task resubmitted to a fresh pool",
-                            "",
-                        )
-                    if len(victims) > 1:
-                        # can't tell the culprit from its collateral:
-                        # isolate the survivors' next attempts
-                        solo_pending = sum(
-                            1 for index in victims if not settled[index]
-                        )
-                    continue
-                if self.point_timeout is not None and running:
-                    now = time.monotonic()
-                    overdue = sorted(
-                        p.index
-                        for p in running.values()
-                        if p.deadline is not None and p.deadline <= now
-                    )
-                    if overdue:
-                        innocents = sorted(
-                            p.index for p in running.values() if p.index not in overdue
-                        )
-                        # a running future cannot be cancelled: terminate the
-                        # workers, then resubmit — overdue tasks on their next
-                        # attempt, innocents without touching their budget
-                        teardown_pool(kill=True)
-                        for index in innocents:
-                            attempts[index] -= 1
-                            queue.append(index)
-                        for index in overdue:
-                            stats.timed_out += 1
-                            budget_fail(
-                                index,
-                                "timeout",
-                                f"point exceeded --point-timeout="
-                                f"{self.point_timeout}s (attempt {attempts[index]})",
-                                "",
-                            )
-        finally:
-            if in_main_thread:
-                signal.signal(signal.SIGINT, prev_handler)
-            teardown_pool(kill=hard_stop or stats.interrupted)
-        if hard_stop:
-            raise KeyboardInterrupt
-        if stats.interrupted:
-            raise ExecutionInterrupted(completed=completed, total=n)
-        return results

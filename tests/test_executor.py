@@ -9,15 +9,17 @@ tolerance would hide a determinism bug.
 """
 
 import json
+import os
 
 import pytest
 
+import repro.harness.executor as executor_mod
 import repro.obs as obs_mod
 from repro.errors import ConfigError
 from repro.harness.cache import RESULT_SCHEMA, ResultCache, point_key
 from repro.harness.executor import (
     ExecutionReport,
-    ParallelExecutor,
+    Executor,
     PointTask,
     SerialExecutor,
     execute_plan,
@@ -145,7 +147,7 @@ def test_assemble_missing_results_raises():
 def test_serial_and_parallel_bit_identical():
     plan = tiny_plan()
     serial_fig, serial_rep = execute_plan(plan, executor=SerialExecutor())
-    par_fig, par_rep = execute_plan(plan, executor=ParallelExecutor(jobs=2))
+    par_fig, par_rep = execute_plan(plan, executor=Executor(jobs=2))
     # exact: determinism contract, see module docstring
     assert series_data(serial_fig) == series_data(par_fig)
     assert serial_rep.jobs == 1 and par_rep.jobs == 2
@@ -153,7 +155,7 @@ def test_serial_and_parallel_bit_identical():
 
 
 def test_parallel_matches_run_point_directly():
-    results = ParallelExecutor(jobs=2).run_tasks(
+    results = Executor(jobs=2).run_tasks(
         [PointTask(SMALL, reps=2), PointTask(OTHER, reps=2)]
     )
     direct = [run_point(SMALL, reps=2), run_point(OTHER, reps=2)]
@@ -164,13 +166,77 @@ def test_parallel_matches_run_point_directly():
 
 def test_parallel_preserves_task_order():
     tasks = [PointTask(OTHER, reps=1), PointTask(SMALL, reps=1), PointTask(DD, reps=1)]
-    results = ParallelExecutor(jobs=3).run_tasks(tasks)
+    results = Executor(jobs=3).run_tasks(tasks)
     assert [r.spec for r in results] == [OTHER, SMALL, DD]
 
 
 def test_parallel_rejects_bad_jobs():
     with pytest.raises(ConfigError):
-        ParallelExecutor(jobs=0)
+        Executor(jobs=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"max_retries": -1},
+        {"point_timeout": 0.0},
+        {"point_timeout": -1.0},
+        {"point_timeout": float("nan")},
+        {"point_timeout": float("inf")},
+        {"retry_backoff": -1.0},
+        {"retry_backoff": float("nan")},
+        {"retry_backoff": float("inf")},
+    ],
+)
+def test_executor_rejects_bad_settings(kwargs):
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
+        Executor(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--retry-backoff", "-1"),
+        ("--retry-backoff", "nan"),
+        ("--point-timeout", "nan"),
+        ("--point-timeout", "inf"),
+    ],
+)
+def test_cli_rejects_bad_executor_settings(flag, value, capsys):
+    from repro.harness.cli import main
+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["HW", "--jobs", "2", flag, value])
+    assert exc_info.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_executor_selects_path_from_settings():
+    assert Executor().in_process
+    assert not Executor(jobs=2).in_process
+    # an in-process point can be neither deadlined nor crash-contained
+    assert not Executor(point_timeout=5.0).in_process
+    assert not Executor(max_retries=0).in_process
+
+
+def test_default_executor_runs_in_process(monkeypatch):
+    # the default path calls the module-level run_point in this process
+    # under the caller's Observability; a worker would run in another
+    # process with a private one
+    real = executor_mod.run_point
+    seen = []
+
+    def local_run_point(spec, reps=1, base_seed=0):
+        seen.append((os.getpid(), obs_mod.current()))
+        return real(spec, reps=reps, base_seed=base_seed)
+
+    monkeypatch.setattr(executor_mod, "run_point", local_run_point)
+    obs = obs_mod.Observability()
+    with obs_mod.activated(obs):
+        results = Executor().run_tasks([PointTask(SMALL, reps=1)])
+    assert seen == [(os.getpid(), obs)]
+    assert results[0].write_bw == run_point(SMALL, reps=1).write_bw
+    assert obs.registry.counter("sim.events_executed").value > 0
 
 
 def test_execute_plans_executes_shared_points_once():
@@ -188,7 +254,7 @@ def test_execute_plans_executes_shared_points_once():
 
 def test_build_figure_serial_parallel_identical():
     serial = build_figure("HW")
-    parallel = build_figure("HW", executor=ParallelExecutor(jobs=2))
+    parallel = build_figure("HW", executor=Executor(jobs=2))
     # exact: determinism contract across executors
     assert series_data(serial) == series_data(parallel)
     assert serial.all_passed and parallel.all_passed
@@ -336,7 +402,7 @@ def run_observed(executor):
 
 def test_obs_counters_merge_across_workers():
     fig_s, obs_s = run_observed(SerialExecutor())
-    fig_p, obs_p = run_observed(ParallelExecutor(jobs=2))
+    fig_p, obs_p = run_observed(Executor(jobs=2))
     # exact: modelled numbers unaffected by observation or executor
     assert series_data(fig_s) == series_data(fig_p)
     for name in ("sim.events_executed", "workload.ops", "workload.bytes",
@@ -349,7 +415,7 @@ def test_obs_counters_merge_across_workers():
 
 def test_obs_spans_and_runs_merge_across_workers():
     _, obs_s = run_observed(SerialExecutor())
-    _, obs_p = run_observed(ParallelExecutor(jobs=2))
+    _, obs_p = run_observed(Executor(jobs=2))
     assert len(obs_p.tracer.spans) == len(obs_s.tracer.spans)
     # 2 points x 2 reps = 4 runs, whichever process ran them
     assert obs_p.run_index + 1 == obs_s.run_index + 1 == 4
@@ -363,7 +429,7 @@ def test_obs_spans_and_runs_merge_across_workers():
 
 
 def test_obs_hottest_links_survive_merge():
-    _, obs_p = run_observed(ParallelExecutor(jobs=2))
+    _, obs_p = run_observed(Executor(jobs=2))
     hottest = obs_p.hottest_links(top=3)
     assert hottest
     assert all(0.0 <= util <= 1.0 + 1e-9 for _, util in hottest)

@@ -13,7 +13,7 @@ from repro.ceph import CephCluster, RadosClient
 from repro.errors import ConfigError, UnavailableError
 from repro.faults import RetryPolicy
 from repro.hardware import Cluster
-from repro.harness.executor import ParallelExecutor, PointTask, SerialExecutor
+from repro.harness.executor import Executor, PointTask, SerialExecutor
 from repro.harness.experiment import PointSpec, run_point
 from repro.obs import (
     Observability,
@@ -299,7 +299,7 @@ def test_serial_and_parallel_ledgers_merge_identically():
     serial_obs.finalize()
     parallel_obs = Observability(ledger=OpLedger())
     with activated(parallel_obs):
-        parallel_results = ParallelExecutor(jobs=2).run_tasks(tasks)
+        parallel_results = Executor(jobs=2).run_tasks(tasks)
     parallel_obs.finalize()
     for a, b in zip(serial_results, parallel_results):
         assert a.write_bw == b.write_bw and a.read_bw == b.read_bw

@@ -11,6 +11,7 @@ resumed counts and the quarantine file).
 
 import json
 import math
+import re
 import signal
 
 import pytest
@@ -19,6 +20,7 @@ import repro.harness.executor as executor_mod
 from repro.errors import ConfigError
 from repro.harness.cache import ResultCache, point_key
 from repro.harness.executor import (
+    Executor,
     SerialExecutor,
     execute_plan,
     execute_plans,
@@ -33,7 +35,6 @@ from repro.harness.resilience import (
     ExecutionInterrupted,
     Quarantine,
     ResilienceConfig,
-    ResilientParallelExecutor,
     chaos_plan,
     hole_result,
 )
@@ -98,6 +99,11 @@ def test_chaos_plan_parses_directives():
 def test_chaos_plan_rejects_unknown_directive():
     with pytest.raises(ConfigError, match="unknown directive"):
         chaos_plan("explode:everything")
+    # malformed sleeps: no SECONDS, non-numeric, negative, non-finite
+    for bad in ("sleep:dd", "sleep:dd:abc", "sleep:dd:-1", "sleep:dd:nan",
+                "sleep:dd:inf"):
+        with pytest.raises(ConfigError, match=re.escape(repr(bad))):
+            chaos_plan(f"interrupt-after:1; {bad}")
 
 
 # ------------------------------------------- identity with no faults
@@ -105,7 +111,7 @@ def test_chaos_plan_rejects_unknown_directive():
 
 def test_resilient_matches_serial_bit_identical(serial_figure):
     fig, report = execute_plan(
-        tiny_plan(), executor=ResilientParallelExecutor(jobs=2)
+        tiny_plan(), executor=Executor(jobs=2)
     )
     assert series_data(fig) == series_data(serial_figure)
     assert report.retried == 0
@@ -120,7 +126,18 @@ def test_sigkilled_worker_is_retried_and_identical(serial_figure, monkeypatch):
     # one spec's worker SIGKILLs itself on the first attempt; the batch
     # must complete with retried > 0 and byte-identical series
     monkeypatch.setenv(CHAOS_ENV, "kill-worker:ppn=4")
-    ex = ResilientParallelExecutor(jobs=2)
+    ex = Executor(jobs=2)
+    fig, report = execute_plan(tiny_plan(), executor=ex)
+    assert series_data(fig) == series_data(serial_figure)
+    assert report.retried >= 1
+    assert ex.last_stats.crashes >= 1
+    assert report.quarantined == 0
+
+
+def test_single_worker_pool_survives_sigkill(serial_figure, monkeypatch):
+    # --jobs 1 --max-retries N: one worker, still crash-contained
+    monkeypatch.setenv(CHAOS_ENV, "kill-worker:ppn=4")
+    ex = Executor(jobs=1, max_retries=1)
     fig, report = execute_plan(tiny_plan(), executor=ex)
     assert series_data(fig) == series_data(serial_figure)
     assert report.retried >= 1
@@ -136,11 +153,11 @@ def test_repeated_crasher_is_quarantined_not_fatal(
     monkeypatch.setenv(CHAOS_ENV, "kill-worker:ppn=4:99")
     cache = ResultCache(tmp_path / "c")
     qpath = tmp_path / "q.json"
-    ex = ResilientParallelExecutor(jobs=2, max_retries=1)
+    ex = Executor(jobs=2, max_retries=1)
     with pytest.raises(ConfigError, match="quarantined after repeated failures"):
         execute_plans(
             [tiny_plan()], executor=ex, cache=cache,
-            resilience=ResilienceConfig(max_retries=1, quarantine_path=qpath),
+            resilience=ResilienceConfig(quarantine_path=qpath),
         )
     # the two innocent points were checkpointed despite the failure
     assert cache.get(SMALL, 2) is not None
@@ -181,13 +198,11 @@ def test_point_timeout_retries_then_quarantines(tmp_path, monkeypatch):
     monkeypatch.setenv(CHAOS_ENV, "sleep:ppn=4:30")
     cache = ResultCache(tmp_path / "c")
     qpath = tmp_path / "q.json"
-    ex = ResilientParallelExecutor(jobs=2, point_timeout=0.5, max_retries=1)
+    ex = Executor(jobs=2, point_timeout=0.5, max_retries=1)
     with pytest.raises(ConfigError, match="re-run with --allow-partial"):
         execute_plans(
             [tiny_plan()], executor=ex, cache=cache,
-            resilience=ResilienceConfig(
-                point_timeout=0.5, max_retries=1, quarantine_path=qpath
-            ),
+            resilience=ResilienceConfig(quarantine_path=qpath),
         )
     assert ex.last_stats.timed_out >= 2
     q = Quarantine(qpath)
@@ -211,7 +226,7 @@ def test_interrupt_then_resume_serves_finished_from_cache(
     cache = ResultCache(tmp_path / "c")
     with pytest.raises(ExecutionInterrupted) as exc_info:
         execute_plans(
-            [tiny_plan()], executor=ResilientParallelExecutor(jobs=1),
+            [tiny_plan()], executor=Executor(jobs=1, max_retries=2),
             cache=cache, resilience=ResilienceConfig(),
         )
     finished = exc_info.value.completed
@@ -224,7 +239,7 @@ def test_interrupt_then_resume_serves_finished_from_cache(
     monkeypatch.delenv(CHAOS_ENV)
     warm = ResultCache(tmp_path / "c")
     figs, report = execute_plans(
-        [tiny_plan()], executor=ResilientParallelExecutor(jobs=1),
+        [tiny_plan()], executor=Executor(jobs=1, max_retries=2),
         cache=warm, resilience=ResilienceConfig(resume=True),
     )
     assert warm.stats.hits == finished
@@ -307,5 +322,5 @@ def test_quarantine_survives_corrupt_file(tmp_path):
 
 def test_sigint_handler_restored(serial_figure):
     before = signal.getsignal(signal.SIGINT)
-    execute_plan(tiny_plan(), executor=ResilientParallelExecutor(jobs=2))
+    execute_plan(tiny_plan(), executor=Executor(jobs=2))
     assert signal.getsignal(signal.SIGINT) is before
