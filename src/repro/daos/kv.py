@@ -9,7 +9,7 @@ RP_2 rather than erasure-coding them, Section III-D).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Set, Tuple
+from typing import Any, Dict, Iterable, Set, Tuple
 
 from repro.daos.container import Container
 from repro.daos.obj import DaosObject
@@ -43,6 +43,8 @@ class DaosKV(DaosObject):
                 f"KV objects cannot be erasure-coded (class {oc.name})"
             )
         super().__init__(container, oid, oc)
+        #: kind -> (pool map version, serving layout); see :meth:`_serving`
+        self._layouts: Dict[str, Tuple[int, Tuple[Dict[Target, int], Dict[Any, int]]]] = {}
 
     # -- internals ---------------------------------------------------------
     def _group_for(self, key: str) -> int:
@@ -153,23 +155,55 @@ class DaosKV(DaosObject):
         Puts hit every replica of a group; gets are served by one.  Used
         by the benchmark harness to batch index traffic (Field I/O and
         fdb-hammer average ~10 KV ops per field, paper Section III-B).
+        Each target and engine gets ``n_ops / n_groups`` (times the value
+        size for targets) added once per group it serves, in group order,
+        from the cached serving layout.
         """
         if kind not in ("put", "get"):
             raise InvalidArgumentError(f"kind must be 'put' or 'get': {kind}")
-        charges: Dict[Target, float] = {}
-        engine_ops: Dict = {}
         per_group = n_ops / self.n_groups
+        targets, engines = self._serving(kind)
+        return _repeat_sums(targets, per_group * value_size), _repeat_sums(engines, per_group)
+
+    def _serving(self, kind: str) -> Tuple[Dict[Target, int], Dict[Any, int]]:
+        """How many groups each target serves and how many serving slots
+        each engine holds, both in order of first appearance over the
+        groups.  Cached per kind and stamped with ``Pool.map_version``,
+        which target failures, restores and rebuild relocations bump."""
+        version = self.container.pool.map_version
+        cached = self._layouts.get(kind)
+        if cached is not None and cached[0] == version:
+            return cached[1]
+        targets: Dict[Target, int] = {}
+        engines: Dict[Any, int] = {}
         for group in self.groups:
             members = [t for t in group if t.alive]
             if not members:
                 raise UnavailableError("KV group fully down")
             serving = members if kind == "put" else members[:1]
             for target in serving:
-                charges[target] = charges.get(target, 0.0) + per_group * value_size
-                engine_ops[target.engine] = engine_ops.get(target.engine, 0.0) + per_group
-        return charges, engine_ops
+                targets[target] = targets.get(target, 0) + 1
+                engines[target.engine] = engines.get(target.engine, 0) + 1
+        self._layouts[kind] = (version, (targets, engines))
+        return targets, engines
 
     def wipe(self) -> None:
         for gi, group in enumerate(self.groups):
             for member, target in enumerate(group):
                 target.kv_shards.pop(self.shard_key(gi, member), None)
+
+
+def _repeat_sums(counts: Dict[Any, int], x: float) -> Dict[Any, float]:
+    """``key -> 0.0 + x + ... + x`` with ``counts[key]`` terms: the float
+    sums of adding ``x`` once per served group, one fold per distinct
+    count."""
+    sums: Dict[int, float] = {}
+    for m in set(counts.values()):
+        acc = 0.0
+        for _ in range(m):
+            acc += x
+        sums[m] = acc
+    if len(sums) == 1:
+        (value,) = sums.values()
+        return dict.fromkeys(counts, value)
+    return {key: sums[m] for key, m in counts.items()}

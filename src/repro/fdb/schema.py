@@ -9,7 +9,8 @@ I/O both sweep sequences of such keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, Tuple
+from itertools import islice, product
+from typing import Dict, Iterator, Sequence, Tuple
 
 from repro.errors import InvalidArgumentError
 
@@ -33,6 +34,11 @@ SCHEMA_KEYS: Tuple[str, ...] = (
 #: attributes every key must carry to be archivable
 REQUIRED_KEYS: Tuple[str, ...] = ("class", "stream", "date", "time", "step", "param")
 
+#: attribute -> its position in :data:`SCHEMA_KEYS`
+_POSITION: Dict[str, int] = {name: i for i, name in enumerate(SCHEMA_KEYS)}
+#: the attributes of :meth:`FdbKey.index_group`
+_GROUP_KEYS = frozenset(("class", "stream", "expver", "date", "time"))
+
 
 @dataclass(frozen=True)
 class FdbKey:
@@ -51,20 +57,22 @@ class FdbKey:
         if missing:
             raise InvalidArgumentError(f"key is missing {sorted(missing)}")
 
-    @property
-    def as_dict(self) -> Dict[str, str]:
-        return dict(self.items)
+    def _schema_items(self) -> Sequence[Tuple[str, str]]:
+        """``items`` in schema order; a key built directly from a tuple may
+        hold them in any order."""
+        items = self.items
+        positions = [_POSITION[k] for k, _ in items]
+        if positions == sorted(positions):
+            return items
+        return sorted(items, key=lambda item: _POSITION[item[0]])
 
     def canonical(self) -> str:
         """Canonical string form, in schema order (the index key)."""
-        d = self.as_dict
-        return ",".join(f"{k}={d[k]}" for k in SCHEMA_KEYS if k in d)
+        return ",".join([f"{k}={v}" for k, v in self._schema_items()])
 
     def index_group(self) -> str:
         """The coarse prefix FDB groups index entries by (one forecast)."""
-        d = self.as_dict
-        parts = [f"{k}={d[k]}" for k in ("class", "stream", "expver", "date", "time") if k in d]
-        return ",".join(parts)
+        return ",".join([f"{k}={v}" for k, v in self._schema_items() if k in _GROUP_KEYS])
 
     def __str__(self) -> str:
         return self.canonical()
@@ -100,26 +108,48 @@ def key_sequence(
     step, mirroring how an NWP model emits output.  ``member`` (the
     ensemble member / process number) keeps per-process sequences
     disjoint.
+
+    The first key is built by :func:`make_key`, which validates the
+    attribute names once per sweep.  Every later key has the same names
+    and differs only in step, parameter and level, so it is built
+    without the per-key validation and shares the first key's constant
+    head items.
     """
-    count = 0
-    step = 0
-    while count < n_fields:
-        for level in levels:
-            for param in params:
-                if count >= n_fields:
-                    return
-                yield make_key(
-                    class_="od",
-                    stream="enfo",
-                    expver="0001",
-                    date=date,
-                    time="0000",
-                    domain="g",
-                    type="pf",
-                    levtype="pl",
-                    step=step,
-                    param=param,
-                    levelist=f"{level}.{member}",
-                )
-                count += 1
-        step += 6
+    if n_fields > 0 and not (params and levels):
+        raise InvalidArgumentError(
+            f"a sweep of {n_fields} fields needs at least one parameter and one level"
+        )
+    return _sweep(n_fields, member, date, params, levels)
+
+
+def _sweep(
+    n_fields: int, member: int, date: int, params: Tuple[int, ...], levels: Tuple[int, ...]
+) -> Iterator[FdbKey]:
+    if n_fields <= 0:
+        return
+    first = make_key(
+        class_="od",
+        stream="enfo",
+        expver="0001",
+        date=date,
+        time="0000",
+        domain="g",
+        type="pf",
+        levtype="pl",
+        step=0,
+        param=params[0],
+        levelist=f"{levels[0]}.{member}",
+    )
+    yield first
+    head = first.items[:8]  # class .. levtype
+    n_steps = -(-n_fields // (len(levels) * len(params)))
+    cells = product(
+        [("step", str(6 * s)) for s in range(n_steps)],
+        [("levelist", f"{level}.{member}") for level in levels],
+        [("param", str(param)) for param in params],
+    )
+    new, set_items = object.__new__, object.__setattr__
+    for step, level, param in islice(cells, 1, n_fields):
+        key = new(FdbKey)
+        set_items(key, "items", (*head, step, param, level))
+        yield key

@@ -22,7 +22,7 @@ Supported APIs (the series of Figs. 1-6):
 from __future__ import annotations
 
 from itertools import chain
-from typing import Any, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,10 +58,8 @@ def uniform_target_charges(pool: Pool, nbytes: float) -> Dict[Target, float]:
 def charge_profile(arrays: Sequence[Any], kind: str) -> Tuple[List[Target], np.ndarray]:
     """Unit (1-byte) charges of a rank group's arrays as a matrix.
 
-    Row ``i`` holds ``arrays[i].bulk_charges(kind, 1)``; columns are the
-    targets in order of first appearance over the rows, which is the key
-    order a rank-by-rank dict accumulation produces.  Targets an array
-    does not touch hold 0.0, which leaves a running float sum unchanged.
+    Row ``i`` holds ``arrays[i].bulk_charges(kind, 1)``; see
+    :func:`row_matrix` for the columns.
     """
     units: Dict[int, Dict[Target, float]] = {}
     rows: List[Dict[Target, float]] = []
@@ -70,15 +68,70 @@ def charge_profile(arrays: Sequence[Any], kind: str) -> Tuple[List[Target], np.n
         if unit is None:
             unit = units[id(arr)] = arr.bulk_charges(kind, 1)
         rows.append(unit)
+    return row_matrix(rows)
+
+
+def row_matrix(rows: Sequence[Dict[Any, float]]) -> Tuple[List[Any], np.ndarray]:
+    """Dict rows as a matrix whose columns are the keys in order of first
+    appearance over the rows, which is the key order a row-by-row dict
+    accumulation produces.  Keys a row lacks hold 0.0, which leaves a
+    running float sum unchanged."""
     column = dict.fromkeys(chain.from_iterable(rows), 0)
-    for j, target in enumerate(column):
-        column[target] = j
+    for j, key in enumerate(column):
+        column[key] = j
     matrix = np.zeros((len(rows), len(column)))
-    for i, unit in enumerate(rows):
-        n = len(unit)
-        cols = np.fromiter(map(column.__getitem__, unit), np.intp, n)
-        matrix[i, cols] = np.fromiter(unit.values(), float, n)
+    first: Dict[int, int] = {}
+    for i, row in enumerate(rows):
+        j = first.setdefault(id(row), i)
+        if j < i:  # the same dict again (a shared file or KV): copy its row
+            matrix[i] = matrix[j]
+            continue
+        n = len(row)
+        cols = np.fromiter(map(column.__getitem__, row), np.intp, n)
+        matrix[i, cols] = np.fromiter(row.values(), float, n)
     return list(column), matrix
+
+
+def fold_rows(matrix: np.ndarray) -> np.ndarray:
+    """Column sums added row by row (``acc += row``): per column the float
+    sum ``((0.0 + x0) + x1) + ...`` of a dict accumulation in row order.
+    Never ``np.sum`` (it may reduce pairwise) and never ``k * row`` for k
+    equal rows: either can round differently."""
+    acc = np.zeros(matrix.shape[1])
+    for row in matrix:
+        acc += row
+    return acc
+
+
+def fold_dicts(rows: Sequence[Dict[Any, float]]) -> Dict[Any, float]:
+    """The rows merged one dict at a time (``acc[k] = acc.get(k, 0.0) +
+    v``), as one :func:`fold_rows` over their :func:`row_matrix`: same
+    keys, key order and float sums."""
+    keys, matrix = row_matrix(rows)
+    return dict(zip(keys, fold_rows(matrix).tolist()))
+
+
+def fold_kv_loads(
+    charges: Dict[Target, float],
+    req: Dict[Any, float],
+    kv_ops: Iterable[Tuple[Any, float]],
+    kind: str,
+    value_size: float,
+) -> Tuple[Dict[Target, float], Dict[Any, float]]:
+    """``charges`` and ``req`` plus the ``bulk_op_loads`` of each
+    ``(kv, n_ops)``, merged in ``kv_ops`` order.  The loads of a KV that
+    repeats with the same op count (one shared by every rank) are
+    computed once and folded once per use."""
+    loads: Dict[Tuple[Any, float], Tuple[Dict[Target, float], Dict[Any, float]]] = {}
+    target_rows: List[Dict[Target, float]] = [charges]
+    engine_rows: List[Dict[Any, float]] = [req]
+    for kv, n_ops in kv_ops:
+        load = loads.get((kv, n_ops))
+        if load is None:
+            load = loads[kv, n_ops] = kv.bulk_op_loads(kind, n_ops, value_size)
+        target_rows.append(load[0])
+        engine_rows.append(load[1])
+    return fold_dicts(target_rows), fold_dicts(engine_rows)
 
 
 def engine_request_ops(charges: Dict[Target, float], total_ops: float) -> Dict[Any, float]:
@@ -197,9 +250,7 @@ class _DaosIor(_IorRunner):
         _, targets, unit = profile
         # rows are added in rank order, one at a time: the same float sums
         # as accumulating each rank's charges into a dict
-        acc = np.zeros(len(targets))
-        for row in unit * (ops * self.cfg.op_size):
-            acc += row
+        acc = fold_rows(unit * (ops * self.cfg.op_size))
         return dict(zip(targets, acc.tolist()))
 
     def batch_flow(self, node: Any, states: Any, phase: str, ops: int) -> Generator[Any, Any, None]:
