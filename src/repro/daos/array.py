@@ -18,6 +18,8 @@ reconstruct from any k surviving cells.  Holes read back as zeros.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from numbers import Integral
 from operator import attrgetter, itemgetter
 from typing import Dict, Optional, Tuple
 
@@ -34,6 +36,20 @@ __all__ = ["DaosArray"]
 
 _first = itemgetter(0)
 _alive = attrgetter("alive")
+
+
+@lru_cache(maxsize=4)
+def _zeros(nbytes: int) -> bytes:
+    """One shared, immutable run of ``nbytes`` zeros: what every read of
+    a non-materialised container returns, since it stores no bytes."""
+    return bytes(nbytes)
+
+
+def _require_ints(offset: int, nbytes: int) -> None:
+    if not (isinstance(offset, Integral) and isinstance(nbytes, Integral)):
+        raise InvalidArgumentError(
+            f"offset and length must be integers: {offset!r}, {nbytes!r}"
+        )
 
 
 class DaosArray(DaosObject):
@@ -82,15 +98,12 @@ class DaosArray(DaosObject):
         return self._size
 
     # -- chunk storage ------------------------------------------------------------
-    def _load_chunk(self, chunk_idx: int) -> Optional[bytearray]:
-        """Assemble a chunk's current bytes (None if never written)."""
-        extent = self._extents.get(chunk_idx)
-        if extent is None:
-            return None
+    def _load_chunk(self, chunk_idx: int) -> bytearray:
+        """Assemble a written chunk's current bytes (materialised
+        containers only: a non-materialised chunk is all zeros)."""
+        extent = self._extents[chunk_idx]
         gi = self._group_of_chunk(chunk_idx)
         buf = bytearray(self.chunk_size)
-        if not self.materialize:
-            return buf
         group = self.groups[gi]
         if self.oc.is_ec:
             k, p = self.oc.ec_k, self.oc.ec_p
@@ -149,38 +162,40 @@ class DaosArray(DaosObject):
         shard[("__sizes__", chunk_idx)] = accounted
 
     def _store_chunk(
-        self, chunk_idx: int, buf: bytearray, extent: int
+        self, chunk_idx: int, buf: Optional[bytearray], extent: int
     ) -> Dict[Target, int]:
-        """Write a chunk's bytes to its group; returns per-target charges."""
+        """Write a chunk's bytes to its group; returns per-target charges.
+
+        ``buf`` is None for a non-materialised container, whose shards
+        keep only their accounted sizes."""
         gi = self._group_of_chunk(chunk_idx)
         group = self.groups[gi]
         charges: Dict[Target, int] = {}
         if self.oc.is_ec:
             k, p = self.oc.ec_k, self.oc.ec_p
             cell = self.cell_size
-            data_cells = [bytes(buf[j * cell : (j + 1) * cell]) for j in range(k)]
             alive_total = sum(1 for t in group if t.alive)
             if alive_total < k:
                 raise UnavailableError(
                     f"chunk {chunk_idx} of {self.oid}: below EC write quorum"
                 )
-            parity_cells = erasure.encode(data_cells, p) if self.materialize else [b""] * p
+            if buf is None:
+                cells = [b""] * len(group)
+            else:
+                cells = [bytes(buf[j * cell : (j + 1) * cell]) for j in range(k)]
+                cells += erasure.encode(cells, p)
             for member, target in enumerate(group):
                 if not target.alive:
                     continue
-                if self.materialize:
-                    payload = data_cells[member] if member < k else parity_cells[member - k]
-                else:
-                    payload = b""
                 self._put_shard_chunk(
-                    target, self.shard_key(gi, member), chunk_idx, payload, cell
+                    target, self.shard_key(gi, member), chunk_idx, cells[member], cell
                 )
                 charges[target] = cell
         else:
             alive = [(m, t) for m, t in enumerate(group) if t.alive]
             if not alive:
                 raise UnavailableError(f"chunk {chunk_idx} of {self.oid}: group down")
-            payload = bytes(buf[:extent]) if self.materialize else b""
+            payload = b"" if buf is None else bytes(buf[:extent])
             for member, target in alive:
                 self._put_shard_chunk(
                     target, self.shard_key(gi, member), chunk_idx, payload, extent
@@ -202,11 +217,15 @@ class DaosArray(DaosObject):
             nbytes = len(data)
         if nbytes is None:
             raise InvalidArgumentError("write needs data or nbytes")
+        _require_ints(offset, nbytes)
         if offset < 0:
             raise InvalidArgumentError(f"negative offset: {offset}")
+        if nbytes < 0:
+            raise InvalidArgumentError(f"negative length: {nbytes}")
         if nbytes == 0:
             return {}
-        if self.materialize and data is None:
+        materialize = self.materialize
+        if materialize and data is None:
             raise InvalidArgumentError("materializing container requires data bytes")
         charges: Dict[Target, int] = {}
         pos = 0
@@ -216,11 +235,14 @@ class DaosArray(DaosObject):
             end = min(offset + nbytes, chunk_base + self.chunk_size) - chunk_base
             piece_len = end - start
             prev_extent = self._extents.get(chunk_idx, 0)
-            if prev_extent:
-                buf = self._load_chunk(chunk_idx)
-            else:
-                buf = bytearray(self.chunk_size)
-            if self.materialize:
+            # a non-materialised container stores no bytes, so there is
+            # no chunk to load, patch or cut into cells
+            buf: Optional[bytearray] = None
+            if materialize:
+                buf = (
+                    self._load_chunk(chunk_idx) if prev_extent
+                    else bytearray(self.chunk_size)
+                )
                 buf[start:end] = data[pos : pos + piece_len]
             new_extent = max(prev_extent, end)
             chunk_charges = self._store_chunk(chunk_idx, buf, new_extent)
@@ -247,13 +269,16 @@ class DaosArray(DaosObject):
         """Read ``nbytes`` at ``offset``; returns ``(data, charges)``.
 
         Holes and regions past the written size read as zeros (the timed
-        charge covers only bytes actually fetched from targets).
+        charge covers only bytes actually fetched from targets).  A
+        non-materialised container assembles no chunks: its data is all
+        zeros, so the read returns a shared zero buffer.
         """
+        _require_ints(offset, nbytes)
         if offset < 0 or nbytes < 0:
             raise InvalidArgumentError("negative offset or length")
         if nbytes == 0:
             return b"", {}
-        out = bytearray(nbytes)
+        out = bytearray(nbytes) if self.materialize else None
         charges: Dict[Target, int] = {}
         for chunk_idx in self._chunk_range(offset, nbytes):
             chunk_base = chunk_idx * self.chunk_size
@@ -262,10 +287,11 @@ class DaosArray(DaosObject):
             extent = self._extents.get(chunk_idx, 0)
             if extent == 0:
                 continue  # hole: zeros, no transfer
-            buf = self._load_chunk(chunk_idx)
-            piece = bytes(buf[start:end])
-            out_base = chunk_base + start - offset
-            out[out_base : out_base + len(piece)] = piece
+            if out is not None:
+                out_base = chunk_base + start - offset
+                out[out_base : out_base + end - start] = memoryview(
+                    self._load_chunk(chunk_idx)
+                )[start:end]
             read_len = min(end, extent) - start
             if read_len <= 0:
                 continue
@@ -301,7 +327,7 @@ class DaosArray(DaosObject):
                     raise DataLossError(
                         f"chunk {chunk_idx} of {self.oid}: no live replica"
                     )
-        return bytes(out), charges
+        return (_zeros(nbytes) if out is None else bytes(out)), charges
 
     def bulk_charges(self, kind: str, nbytes: Bytes) -> Dict[Target, float]:
         """Analytic per-target byte charges for ``nbytes`` of sequential

@@ -28,8 +28,8 @@ def make_pool():
     return Pool(Cluster(n_servers=3, n_clients=1, seed=0))
 
 
-def make_array(pool, oc: str) -> DaosArray:
-    cont = pool.create_container(f"prop-{oc}-{pool.n_containers}")
+def make_array(pool, oc: str, materialize: bool = True) -> DaosArray:
+    cont = pool.create_container(f"prop-{oc}-{pool.n_containers}", materialize=materialize)
     oid = cont.alloc_oid()
     arr = DaosArray(cont, oid, ObjectClass.parse(oc), chunk_size=CHUNK)
     cont.register(oid, arr)
@@ -51,18 +51,31 @@ write_ops = st.lists(
 @given(ops=write_ops)
 def test_array_matches_bytearray_oracle(oc, ops):
     """Arbitrary overlapping writes then a full read-back must equal a
-    plain bytearray applying the same writes."""
+    plain bytearray applying the same writes.  A non-materialised twin
+    on an identical pool, given only the lengths, reads back zeros of
+    the requested length and charges, extents and sizes exactly alike."""
     pool = make_pool()
     arr = make_array(pool, oc)
+    twin = make_array(make_pool(), oc, materialize=False)
+
+    def by_index(charges):
+        return [(t.global_index, type(nb), nb) for t, nb in charges.items()]
+
     oracle = bytearray(SPAN + 2 * CHUNK)
     top = 0
     for offset, data in ops:
-        arr.write(offset, data)
+        charges = arr.write(offset, data)
+        assert by_index(twin.write(offset, nbytes=len(data))) == by_index(charges)
         oracle[offset : offset + len(data)] = data
         top = max(top, offset + len(data))
-    got, _ = arr.read(0, top)
+    got, charges = arr.read(0, top)
     assert got == bytes(oracle[:top])
     assert arr.size() == top
+    zeros, twin_charges = twin.read(0, top)
+    assert type(zeros) is bytes and zeros == bytes(top)
+    assert by_index(twin_charges) == by_index(charges)
+    assert list(twin._extents.items()) == list(arr._extents.items())
+    assert twin.size() == top
 
 
 @pytest.mark.parametrize("oc", ["RP_2", "EC_2P1"])
